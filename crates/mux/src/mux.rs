@@ -45,8 +45,11 @@ const RECEIVER_WAIT_CEIL: Duration = Duration::from_millis(20);
 /// Tuning knobs of a [`Mux`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MuxConfig {
-    /// Timer-wheel granularity. Deadlines round up to the next tick, so
-    /// this bounds both scheduling error and the idle nap length.
+    /// Timer-wheel granularity. A timer's wheel deadline is its due time
+    /// rounded up to the next tick, so any one timer fires at most a tick
+    /// late. Sender pacing keeps its send schedule in exact time and only
+    /// the wheel deadline is rounded, so that error never accumulates: a
+    /// `packet_spacing` the tick does not divide still holds its mean.
     pub tick: Duration,
     /// Datagrams drained per endpoint per sweep — the fairness bound: a
     /// flooding session yields the sweep after this many datagrams.
@@ -141,6 +144,9 @@ struct SessionState {
     gen_pace: u64,
     gen_wake: u64,
     gen_retry: u64,
+    /// The sender's send schedule: the exact mux time (ns) of the send
+    /// the armed Pace entry stands for. See [`arm_pace`].
+    pace_at: u64,
     /// True while a sender sits in `WaitUntil` with a Wake armed — the
     /// only state where fresh feedback warrants an immediate re-drive.
     wait_armed: bool,
@@ -294,6 +300,10 @@ pub struct MuxMetrics {
     /// `mux.utilization_permille` — the rolling poll-budget utilization
     /// estimate, in thousandths (gauges are integral).
     pub utilization_permille: Gauge,
+    /// `mux.pace_lag_us` — how far each Pace fire that transmits lands
+    /// behind its scheduled send, in µs: the timer's accuracy, which the
+    /// send schedule then pays back (within the catch-up credit).
+    pub pace_lag: Histogram,
 }
 
 impl MuxMetrics {
@@ -308,6 +318,7 @@ impl MuxMetrics {
             shed_sessions: reg.counter("mux.shed_sessions"),
             admission_rejected: reg.counter("mux.admission_rejected"),
             utilization_permille: reg.gauge("mux.utilization_permille"),
+            pace_lag: reg.histogram("mux.pace_lag_us"),
         }
     }
 }
@@ -582,6 +593,10 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             gen_pace: 0,
             gen_wake: 0,
             gen_retry: 0,
+            // The first send is due now, on the tick grid.
+            pace_at: self
+                .tick_of(now_abs)
+                .saturating_mul(duration_ns(self.cfg.tick).max(1)),
             wait_armed: false,
             drives: 0,
             evicted_total: 0,
@@ -837,7 +852,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         match after {
             AfterIo::Nothing => {}
             AfterIo::Finish(o) => self.finish(token, o),
-            AfterIo::DriveSender => self.drive_sender_session(token),
+            AfterIo::DriveSender => self.drive_sender_session(token, false),
             AfterIo::DriveReceiver => self.drive_receiver_session(token),
         }
     }
@@ -857,7 +872,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             TimerKind::Retry => self.fire_retry(key.token),
             TimerKind::Pace | TimerKind::Wake => {
                 if is_sender {
-                    self.drive_sender_session(key.token);
+                    self.drive_sender_session(key.token, key.kind == TimerKind::Pace);
                 } else {
                     self.drive_receiver_session(key.token);
                 }
@@ -867,8 +882,10 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
 
     /// One sender drive pass: the body of `drive_sender_obs`'s loop, with
     /// every wait turned into a timer. Exits after arming exactly one of
-    /// Pace/Wake/Retry, or finishes the session.
-    fn drive_sender_session(&mut self, token: Token) {
+    /// Pace/Wake/Retry, or finishes the session. `paced` is true when the
+    /// session's own Pace timer fired: only such a transmit keeps to the
+    /// send schedule (see [`arm_pace`]).
+    fn drive_sender_session(&mut self, token: Token, paced: bool) {
         let now_abs = self.clock.now();
         let tick = self.cfg.tick;
         let Mux {
@@ -970,8 +987,11 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                     }
                                 }
                                 sess.wait_armed = false;
-                                let spacing = sess.rt.packet_spacing;
-                                arm(wheel, sess, TimerKind::Pace, spacing, tick);
+                                let fired_ns = paced.then(|| secs_to_ns(now_abs));
+                                let lag = arm_pace(wheel, sess, tick, fired_ns);
+                                if let (Some(lag), Some(m)) = (lag, metrics.as_ref()) {
+                                    m.pace_lag.record(lag / 1_000);
+                                }
                                 break 'drive None;
                             }
                             Err(NetError::Io(_)) if sess.res.policy().send_retries > 0 => {
@@ -1130,8 +1150,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                             // The send finally landed: resume pacing from
                             // here, as the blocking driver does after its
                             // in-place retry loop returns.
-                            let spacing = sess.rt.packet_spacing;
-                            arm(wheel, sess, TimerKind::Pace, spacing, tick);
+                            arm_pace(wheel, sess, tick, None);
                             AfterIo::Nothing
                         }
                         Engine::Receiver(_) => AfterIo::DriveReceiver,
@@ -1156,7 +1175,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             AfterIo::Nothing => {}
             AfterIo::Finish(o) => self.finish(token, o),
             AfterIo::DriveReceiver => self.drive_receiver_session(token),
-            AfterIo::DriveSender => self.drive_sender_session(token),
+            AfterIo::DriveSender => self.drive_sender_session(token, false),
         }
     }
 
@@ -1301,6 +1320,19 @@ fn elapsed_of(now_rel: f64) -> Duration {
     }
 }
 
+/// Mux seconds → whole nanoseconds, total over hostile floats.
+fn secs_to_ns(secs: f64) -> u64 {
+    if secs.is_finite() && secs > 0.0 {
+        (secs * 1e9).round() as u64
+    } else {
+        0
+    }
+}
+
+fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Ceil a delay to whole ticks, at least one: a timer never fires early,
 /// and "now" is never a valid future deadline.
 fn ticks_for(tick: Duration, delay: Duration) -> u64 {
@@ -1321,6 +1353,42 @@ fn arm(
 ) {
     let at = wheel.now().saturating_add(ticks_for(tick, delay));
     arm_at(wheel, sess, kind, at);
+}
+
+/// Arm a sender's next Pace on its send schedule, after a transmit.
+///
+/// A transmit driven by the session's own Pace fire (at `fired_ns`) is
+/// *anchored*: the next send is due `packet_spacing` after the previous
+/// *scheduled* send, not after the fire, so a late fire (wall-clock timer
+/// slack) is paid back instead of being added to every gap. The catch-up
+/// credit is one interval, `max(spacing, tick)`: a fire later than that
+/// re-anchors at now + spacing, and so does every transmit driven
+/// otherwise (feedback, Wake, Retry), so an overloaded mux never bursts.
+/// The schedule is exact; only its wheel deadline is rounded up to a
+/// tick, and a deadline already due fires on the next turn.
+///
+/// Returns the lag of the fire behind its scheduled send, in ns.
+fn arm_pace(
+    wheel: &mut TimerWheel<TimerKey>,
+    sess: &mut SessionState,
+    tick: Duration,
+    fired_ns: Option<u64>,
+) -> Option<u64> {
+    let tick_ns = duration_ns(tick).max(1);
+    let spacing = duration_ns(sess.rt.packet_spacing);
+    let lag = fired_ns.map(|now| now.saturating_sub(sess.pace_at));
+    match lag {
+        Some(lag) if lag <= spacing.max(tick_ns) => {
+            sess.pace_at = sess.pace_at.saturating_add(spacing);
+            let at = sess.pace_at.div_ceil(tick_ns);
+            arm_at(wheel, sess, TimerKind::Pace, at);
+        }
+        _ => {
+            sess.pace_at = wheel.now().saturating_mul(tick_ns).saturating_add(spacing);
+            arm(wheel, sess, TimerKind::Pace, sess.rt.packet_spacing, tick);
+        }
+    }
+    lag
 }
 
 fn arm_at(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, kind: TimerKind, at: u64) {
@@ -1628,6 +1696,29 @@ mod tests {
                 .any(|(_, e)| matches!(e, Event::SessionEnd { .. })),
             "driver lifecycle events flow through the mux obs"
         );
+    }
+
+    #[test]
+    fn pace_lag_is_recorded_and_exported() {
+        let reg = MetricsRegistry::new();
+        let hub = MemHub::new();
+        let mut m = mux();
+        m.bind_metrics(&reg);
+        let data = payload(900);
+        m.add_sender(
+            NpSender::new(2, &data, np_config(1)).unwrap(),
+            hub.join(),
+            rt(),
+        );
+        m.add_receiver(NpReceiver::new(5, 2, 0.001, 1), hub.join(), rt());
+        assert!(m.run().iter().all(|(_, o)| o.is_ok()));
+
+        let lag = m.metrics.as_ref().unwrap().pace_lag.snapshot();
+        assert!(lag.count > 0, "every paced transmit records its lag");
+        assert_eq!(lag.max, 0, "a virtual clock fires every Pace on schedule");
+        let text = pm_obs::export::render_prometheus(&reg, &[]);
+        assert!(text.contains("# TYPE mux_pace_lag_us summary"));
+        assert!(text.contains(&format!("mux_pace_lag_us_count {}", lag.count)));
     }
 
     #[test]
