@@ -4,7 +4,7 @@
 //! feed and lets the protocol machines discard what is not theirs — fine
 //! for a handful of sessions, quadratic in traffic for a farm. A
 //! [`FarmHub`] instead owns **one non-blocking UDP socket** and
-//! demultiplexes arriving datagrams by the wire-v2 session id (plus the
+//! demultiplexes arriving datagrams by the wire header's session id (plus the
 //! message's direction: data-plane kinds go to the session's receiver
 //! half, feedback kinds to its sender half). One `Mux` can therefore
 //! drive hundreds of sessions over a single descriptor, which is the

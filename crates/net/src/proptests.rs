@@ -97,7 +97,7 @@ proptest! {
         prop_assert_eq!(&reencoded[..], &raw[..]);
     }
 
-    /// The FNV-1a wire checksum detects every single-bit flip: damage
+    /// The CRC-32C wire checksum detects every single-bit flip: damage
     /// confined to one byte (any position, including the checksum field
     /// itself) never mis-parses into a valid Message.
     #[test]
@@ -112,6 +112,40 @@ proptest! {
         match Message::decode(Bytes::from(raw)) {
             Ok(m) => prop_assert!(false, "single-bit flip at {} mis-parsed as {:?}", pos, m),
             Err(e) => prop_assert!(e.is_recoverable(), "flip must stay recoverable: {}", e),
+        }
+    }
+
+    /// CRC-32C detects every burst of up to 32 bits: a non-zero XOR mask
+    /// over at most four consecutive bytes never mis-parses, wherever it
+    /// lands — except that a burst of three or four bytes across an edge
+    /// of the checksum field (bytes 4..8) is outside the guarantee, and is
+    /// moved to start at that edge instead (see the wire module doc).
+    #[test]
+    fn checksum_detects_bursts_up_to_four_bytes(
+        msg in message_strategy(),
+        pos in any::<usize>(),
+        width in 1usize..=4,
+        mask in any::<u32>(),
+    ) {
+        let mut raw = msg.encode().to_vec();
+        let mut pos = pos % (raw.len() - width + 1);
+        if width > 2 {
+            for edge in [4, 8] {
+                if pos < edge && edge < pos + width {
+                    pos = edge;
+                }
+            }
+        }
+        // Non-zero in its first and last byte, so the burst spans exactly
+        // `width` bytes; the middle bytes take any value.
+        let bytes = mask.to_le_bytes();
+        for (i, b) in raw[pos..pos + width].iter_mut().enumerate() {
+            let edge_byte = i == 0 || i + 1 == width;
+            *b ^= if edge_byte && bytes[i] == 0 { 1 } else { bytes[i] };
+        }
+        match Message::decode(Bytes::from(raw)) {
+            Ok(m) => prop_assert!(false, "{}-byte burst at {} mis-parsed as {:?}", width, pos, m),
+            Err(e) => prop_assert!(e.is_recoverable(), "burst must stay recoverable: {}", e),
         }
     }
 

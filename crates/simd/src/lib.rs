@@ -10,6 +10,10 @@
 //! product is `lo[s & 0xf] ^ hi[s >> 4]`, computed lane-parallel with
 //! `_mm256_shuffle_epi8` / `vqtbl1q_u8`.
 //!
+//! The same vtable carries the wire format's per-datagram integrity digest,
+//! CRC-32C ([`crc32c`]): the SSE4.2 `crc32` instruction on x86-64 (part of
+//! the AVX2 backend) and a slicing-by-8 table walk everywhere else.
+//!
 //! ## Dispatch
 //!
 //! Backend selection happens **once per process**: [`try_kernels`] consults
@@ -17,16 +21,17 @@
 //! unset means `auto`), performs runtime CPU-feature detection
 //! (`is_x86_feature_detected!("avx2")`; NEON is baseline on aarch64), and
 //! memoizes a `&'static` [`Kernels`] vtable. Every backend computes
-//! byte-identical results — GF arithmetic is exact — so the choice affects
-//! throughput only, never transcripts; the differential proptests in this
-//! crate pin each backend against the scalar reference across arbitrary
-//! lengths, unaligned offsets, and sub-vector tails.
+//! byte-identical results — GF arithmetic and CRCs are exact — so the
+//! choice affects throughput only, never transcripts; the differential
+//! proptests in this crate pin each backend against the scalar reference
+//! across arbitrary lengths, unaligned offsets, and sub-vector tails.
 //!
 //! ## The unsafe boundary
 //!
 //! This crate is the one sanctioned home for `unsafe` in the workspace
 //! (`#![forbid(unsafe_code)]` everywhere else): raw SIMD loads/stores and
-//! cross-feature calls into `#[target_feature]` functions. The pm-audit
+//! cross-feature calls into `#[target_feature]` functions, the SSE4.2
+//! CRC-32C kernel included. The pm-audit
 //! `unsafe-code` rule ratchets the count in `audit-baseline.json` and its
 //! baseline waiver names pm-simd alone, so a new `unsafe` token anywhere —
 //! including here — still trips the gate.
@@ -42,9 +47,12 @@ use pm_gf::mul_table::mul_row;
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2;
+mod crc32c;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 mod scalar;
+#[cfg(target_arch = "x86_64")]
+mod sse42;
 mod tables;
 
 #[cfg(test)]
@@ -60,8 +68,10 @@ pub enum Backend {
     /// Portable scalar kernels delegating to the table-driven `pm_gf::slice`
     /// routines. Always available.
     Scalar,
-    /// AVX2 nibble-split kernels, 32 bytes per step (x86/x86_64 with runtime
-    /// `avx2` detection).
+    /// AVX2 nibble-split kernels, 32 bytes per step, and the SSE4.2
+    /// CRC-32C instruction on x86_64 (x86/x86_64 with runtime `avx2` and
+    /// `sse4.2` detection; every AVX2 CPU has SSE4.2). An SSE4.2 host
+    /// without AVX2 runs the scalar backend, table CRC included.
     Avx2,
     /// NEON nibble-split kernels, 16 bytes per step (aarch64, where NEON is
     /// part of the baseline ISA).
@@ -87,6 +97,7 @@ impl Backend {
                 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
                 {
                     std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("sse4.2")
                 }
                 #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
                 {
@@ -259,6 +270,7 @@ type MulFn = fn(&CoeffTables, &[u8], &mut [u8]);
 type ScaleFn = fn(&CoeffTables, &mut [u8]);
 type MultiRowsFn = fn(&[(CoeffTables, &[u8])], &mut [u8]);
 type WideFn = fn(&WideCoeff, &[u8], &mut [u16]);
+type CrcFn = fn(u32, &[u8]) -> u32;
 
 /// A backend's kernel vtable. Obtain one via [`kernels`] / [`try_kernels`]
 /// (dispatched) or [`kernels_for`] (explicit, for benches and differential
@@ -274,6 +286,7 @@ pub struct Kernels {
     scale: ScaleFn,
     multi_rows: MultiRowsFn,
     wide: WideFn,
+    crc32c: CrcFn,
 }
 
 impl Kernels {
@@ -393,6 +406,15 @@ impl Kernels {
         assert_eq!(src.len(), dst.len() * 2, "wide_mul_add length mismatch");
         (self.wide)(t, src, dst);
     }
+
+    /// CRC-32C (Castagnoli) of `data` appended to a buffer whose CRC is
+    /// `crc` (0 for an empty one): `crc32c(crc32c(0, a), b)` equals the
+    /// CRC of `a` followed by `b`. Standard parameters — reflected, initial
+    /// value and final XOR `0xFFFF_FFFF` — so `b"123456789"` gives
+    /// `0xE306_9283` on every backend.
+    pub fn crc32c(&self, crc: u32, data: &[u8]) -> u32 {
+        (self.crc32c)(crc, data)
+    }
 }
 
 impl fmt::Debug for Kernels {
@@ -411,6 +433,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     scale: scalar::scale,
     multi_rows: scalar::mul_add_multi_rows,
     wide: scalar::wide_mul_add,
+    crc32c: crc32c::crc32c,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -422,6 +445,10 @@ static AVX2_KERNELS: Kernels = Kernels {
     scale: avx2::scale,
     multi_rows: avx2::mul_add_multi_rows,
     wide: avx2::wide_mul_add,
+    #[cfg(target_arch = "x86_64")]
+    crc32c: sse42::crc32c,
+    #[cfg(target_arch = "x86")]
+    crc32c: crc32c::crc32c,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -436,6 +463,8 @@ static NEON_KERNELS: Kernels = Kernels {
     // where the scalar byte-split walk is already table-bound; a NEON wide
     // kernel has not been written, so the vtable falls back to scalar.
     wide: scalar::wide_mul_add,
+    // ARMv8 has a CRC-32C instruction too, but no host here can test it.
+    crc32c: crc32c::crc32c,
 };
 
 /// The kernel vtable for a specific backend, or `None` if the current host
@@ -496,6 +525,15 @@ pub fn kernels() -> &'static Kernels {
         Ok(k) => k,
         Err(e) => panic!("pm-simd dispatch failed: {e}"),
     }
+}
+
+/// CRC-32C on the dispatched backend — see [`Kernels::crc32c`].
+///
+/// Never fails: the digest is the same on every backend, so when `PM_SIMD`
+/// is invalid this runs the scalar table path and leaves the typed
+/// [`DispatchError`] to the codec constructors that report it.
+pub fn crc32c(crc: u32, data: &[u8]) -> u32 {
+    try_kernels().unwrap_or(&SCALAR_KERNELS).crc32c(crc, data)
 }
 
 /// The dispatched backend's name, or `"invalid"` when `PM_SIMD` is bad —

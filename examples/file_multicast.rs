@@ -135,8 +135,9 @@ fn run_farm(
         2 * args.sessions
     );
     // `--udp-farm`: every endpoint shares ONE real non-blocking UDP
-    // socket; the hub demultiplexes arriving datagrams by the wire-v2
-    // session id (and direction), counting strays instead of crashing.
+    // socket; the hub demultiplexes arriving datagrams by the wire
+    // header's session id (and direction), counting strays instead of
+    // crashing.
     let farm = args.udp_farm.then(|| {
         let hub = FarmHub::loopback()
             .expect("udp farm socket")

@@ -1,8 +1,9 @@
 //! Integration tests for the overload-robust session farm:
 //!
 //! 1. **Real-UDP farm** — 512 sessions (256 sender/receiver pairs) share
-//!    ONE UDP socket on ONE driver thread, demultiplexed by the wire-v2
-//!    session id, and every transfer completes with byte-identical data.
+//!    ONE UDP socket on ONE driver thread, demultiplexed by the wire
+//!    header's session id, and every transfer completes with
+//!    byte-identical data.
 //! 2. **Load shedding** — under a sustained 2×+ budget overload the mux
 //!    sheds deterministically: typed [`SessionOutcome::Shed`] reports
 //!    with postmortems, identical victim sets across identical runs, and
